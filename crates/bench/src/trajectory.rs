@@ -1,9 +1,10 @@
 //! Per-stage throughput trajectory: the pinned `BENCH_<stage>.json` files.
 //!
-//! Each file records the events/sec of one pipeline stage — `decode`,
-//! `memsim`, `irh`, `pairing`, `repair`, `campaign` — on the fixed-seed
-//! synthetic smoke trace (the campaign stage runs a fixed-seed steered
-//! crash campaign instead),
+//! Each file records the events/sec of one pipeline stage — `runtime`,
+//! `decode`, `memsim`, `irh`, `pairing`, `repair`, `campaign` — on the
+//! fixed-seed synthetic smoke trace (the runtime stage records a real
+//! Fast-Fair run and the campaign stage runs a fixed-seed steered crash
+//! campaign instead),
 //! together with the commit it was measured at. The committed copies at
 //! the repo root are the performance *baseline*; `scripts/ci.sh` re-runs
 //! the measurement and fails on a >20% regression against them (the
@@ -15,6 +16,7 @@
 //!
 //! | stage      | measured work |
 //! |------------|---------------|
+//! | `runtime`  | instrumented execution (`Application::execute`) of Fast-Fair's fixed-seed workload on one app thread — the trace producer |
 //! | `decode`   | zero-copy batch decode of the encoded trace bytes |
 //! | `memsim`   | worst-case persistence simulation, IRH disabled |
 //! | `irh`      | the same simulation with inline IRH publication tracking — the pipeline's production Simulate stage |
@@ -37,8 +39,9 @@ use std::time::Instant;
 use hawkset_core::analysis::Analyzer;
 use hawkset_core::memsim::{simulate, AccessSet, SimConfig};
 use hawkset_core::trace::{io, Trace};
+use pm_apps::fastfair::FastFairApp;
 use pm_apps::pclht::PclhtApp;
-use pm_apps::Application;
+use pm_apps::{AppWorkload, Application};
 use pmrace::{run_crash_campaign, CrashCampaignConfig};
 use serde_json::{Map, Number, Value};
 
@@ -54,8 +57,8 @@ pub const PRE_CHANGE_PAIRING_EPS: f64 = 1_684_482.0;
 /// One stage's measured throughput.
 #[derive(Debug, Clone)]
 pub struct StageMeasurement {
-    /// Stable stage name
-    /// (`decode` | `memsim` | `irh` | `pairing` | `repair`).
+    /// Stable stage name (`runtime` | `decode` | `memsim` | `irh` |
+    /// `pairing` | `repair` | `campaign`).
     pub stage: &'static str,
     /// Events processed by the timed work.
     pub events: u64,
@@ -159,6 +162,32 @@ pub fn measure(trace: &Trace, access: &AccessSet) -> Vec<StageMeasurement> {
         events_per_sec: ev_f / repair_secs,
     });
     out
+}
+
+/// Main-phase operations of the pinned `runtime` stage.
+pub const RUNTIME_OPS: u64 = 4_000;
+
+/// Workload seed of the `runtime` stage.
+const RUNTIME_SEED: u64 = 42;
+
+/// Measures the `runtime` stage: instrumented execution of Fast-Fair's
+/// fixed-seed `ops`-op workload re-dealt onto one app thread, best-of-3.
+/// One thread makes the recorded trace a function of the seed, so every
+/// repetition records the same events and the figure is steady.
+pub fn measure_runtime(ops: u64) -> StageMeasurement {
+    let app = FastFairApp;
+    let wl = match app.default_workload(ops, RUNTIME_SEED) {
+        AppWorkload::Ycsb(w) => AppWorkload::Ycsb(w.reshard(1)),
+        other => other,
+    };
+    let events = app.execute(&wl).events.len() as u64;
+    let secs = best_of(3, || app.execute(&wl));
+    StageMeasurement {
+        stage: "runtime",
+        events,
+        elapsed_ms: secs * 1e3,
+        events_per_sec: events as f64 / secs,
+    }
 }
 
 /// Rounds the pinned `campaign` stage runs. The smoke binary always pins
@@ -324,14 +353,15 @@ mod tests {
     #[test]
     fn baseline_roundtrips_and_ratchet_holds_against_itself() {
         let (trace, access) = tiny_inputs();
-        let mut ms = measure(&trace, &access);
+        let mut ms = vec![measure_runtime(200)];
+        ms.extend(measure(&trace, &access));
         // Two rounds keep the stage inside the steering warmup (baseline
         // plans, no injected delays), so the unit test stays fast while
         // still running the full campaign path.
         ms.push(measure_campaign(2));
         assert_eq!(
             ms.iter().map(|m| m.stage).collect::<Vec<_>>(),
-            ["decode", "memsim", "irh", "pairing", "repair", "campaign"]
+            ["runtime", "decode", "memsim", "irh", "pairing", "repair", "campaign"]
         );
         for m in &ms {
             assert!(m.events_per_sec > 0.0, "{}: zero throughput", m.stage);

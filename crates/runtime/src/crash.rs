@@ -34,7 +34,7 @@ use hawkset_core::addr::PmAddr;
 use hawkset_core::trace::ThreadId;
 use parking_lot::Mutex;
 
-use crate::env::{Hook, HookPoint, PmEnv};
+use crate::env::{Hook, HookPoint, PmEnv, WeakPmEnv};
 
 /// What happens when a crash point is reached.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,7 +97,9 @@ pub struct CrashInjector {
     counter: AtomicU64,
     captured: AtomicU64,
     crashed: AtomicBool,
-    env: Mutex<Option<PmEnv>>,
+    /// Weak: the env's hook holds the injector, so a strong handle here
+    /// would keep both — pools included — alive forever.
+    env: Mutex<Option<WeakPmEnv>>,
     images: Mutex<Vec<CrashImage>>,
     sink: Mutex<Option<Arc<CaptureSink>>>,
 }
@@ -137,9 +139,10 @@ impl CrashInjector {
 
     /// Binds the injector to the environment whose pools it snapshots.
     /// Must be called before the first crash point fires; capturing without
-    /// an attached environment yields an image with no pools.
+    /// an attached environment yields an image with no pools. The binding
+    /// does not keep the environment alive.
     pub fn attach(&self, env: &PmEnv) {
-        *self.env.lock() = Some(env.clone());
+        *self.env.lock() = Some(env.downgrade());
     }
 
     /// Streams captured images to `sink` instead of buffering them —
@@ -198,7 +201,8 @@ impl CrashInjector {
     }
 
     fn capture(&self, op_index: u64, tid: ThreadId) {
-        let pools = match &*self.env.lock() {
+        let env = self.env.lock().as_ref().and_then(WeakPmEnv::upgrade);
+        let pools = match env {
             Some(env) => env
                 .persisted_images()
                 .into_iter()
@@ -312,6 +316,26 @@ mod tests {
         assert_eq!(crash.op_index, 1);
         assert!(inj.crashed());
         assert_eq!(inj.images_captured(), 1);
+    }
+
+    /// The installed hook holds the injector and the injector is bound to
+    /// the env: dropping the last env handle must still free the env's
+    /// state (pools and trace builder included).
+    #[test]
+    fn attached_injector_does_not_keep_the_env_alive() {
+        let env = PmEnv::new();
+        let pool = env.map_pool("/mnt/pmem/crash-leak", 4096);
+        let main = env.main_thread();
+        let inj = CrashInjector::at_points([0, 1], CrashMode::Continue);
+        inj.attach(&env);
+        env.set_hook(Some(inj.hook()));
+        pool.store_u64(&main, pool.base(), 1);
+        pool.persist(&main, pool.base(), 8);
+        assert_eq!(inj.images_captured(), 2);
+        let weak = env.downgrade();
+        drop((pool, main, env));
+        assert!(weak.upgrade().is_none(), "the env outlived its last handle");
+        assert_eq!(inj.take_images().len(), 2, "the injector itself survives");
     }
 
     #[test]

@@ -12,15 +12,25 @@
 //! All state mutations happen under one internal mutex, which makes each
 //! recorded event a linearization point of the operation it describes —
 //! the same property PIN's serialized analysis callbacks provide.
+//!
+//! The work done under that mutex per event is kept small. The event's
+//! stack id comes from the issuing thread's memo (see [`crate::thread`]):
+//! one hash lookup, no frame capture, no allocation. A memo miss interns
+//! a freshly captured stack in the builder's one table, in the same
+//! first-occurrence order as capturing every event would, so trace bytes
+//! depend only on the interleaving. The memo is tied to a builder
+//! *generation*, bumped by [`PmEnv::finish`] when it starts a new
+//! builder. The perturbation hook costs one atomic load when none is
+//! installed.
 
 use std::panic::Location;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use hawkset_core::addr::{line_base, line_of, AddrRange, PmAddr, CACHE_LINE};
 use hawkset_core::sync_config::{CallEffect, SyncConfig};
 use hawkset_core::trace::{
-    EventKind, Frame, LockId, LockMode, PmRegion, ThreadId, Trace, TraceBuilder,
+    EventKind, Frame, LockId, LockMode, PmRegion, StackId, ThreadId, Trace, TraceBuilder,
 };
 use parking_lot::Mutex;
 
@@ -92,10 +102,39 @@ struct PoolData {
 
 struct EnvState {
     builder: TraceBuilder,
+    /// Identifies `builder` to the per-thread stack-id memos; bumped
+    /// whenever `finish` replaces it.
+    generation: u64,
     shadow: ShadowPm,
     pools: Vec<PoolData>,
     observations: Vec<Observation>,
     main_taken: bool,
+}
+
+impl EnvState {
+    /// The id of `t`'s current stack with `loc` as the access site.
+    fn stack(&mut self, t: &PmThread, loc: &'static Location<'static>) -> StackId {
+        t.stack_id(&mut self.builder, self.generation, loc)
+    }
+
+    /// Records one event by `t` at `loc`.
+    fn record(&mut self, t: &PmThread, loc: &'static Location<'static>, kind: EventKind) {
+        let stack = self.stack(t, loc);
+        self.builder.push(t.tid(), stack, kind);
+    }
+
+    /// Records a read of unpersisted foreign data, if `t` is making one.
+    fn observe_load(&mut self, t: &PmThread, range: AddrRange, loc: &'static Location<'static>) {
+        if let Some((writer, store_fn)) = self.shadow.unpersisted_foreign_writer(t.tid(), &range) {
+            self.observations.push(Observation {
+                load_tid: t.tid(),
+                store_tid: writer,
+                store_fn: store_fn.to_string(),
+                range,
+                load_stack: t.capture_stack(loc),
+            });
+        }
+    }
 }
 
 struct EnvInner {
@@ -103,6 +142,11 @@ struct EnvInner {
     next_tid: AtomicU32,
     next_lock: AtomicU64,
     observe: AtomicBool,
+    /// Whether `hook` is `Some`, readable without taking its mutex.
+    /// `Relaxed` suffices: it publishes no data, since the hook itself is
+    /// read under `hook`'s mutex. A thread racing a `set_hook` may miss
+    /// or fire that one hook call either way, as with the mutex alone.
+    hooked: AtomicBool,
     hook: Mutex<Option<Hook>>,
     sync_config: Mutex<SyncConfig>,
 }
@@ -111,6 +155,17 @@ struct EnvInner {
 #[derive(Clone)]
 pub struct PmEnv {
     inner: Arc<EnvInner>,
+}
+
+/// A non-owning [`PmEnv`] handle, for holders reachable from the env's own
+/// hook — a strong handle there would be a reference cycle.
+pub(crate) struct WeakPmEnv(Weak<EnvInner>);
+
+impl WeakPmEnv {
+    /// The environment, unless every [`PmEnv`] handle has been dropped.
+    pub(crate) fn upgrade(&self) -> Option<PmEnv> {
+        self.0.upgrade().map(|inner| PmEnv { inner })
+    }
 }
 
 impl Default for PmEnv {
@@ -127,6 +182,7 @@ impl PmEnv {
             inner: Arc::new(EnvInner {
                 state: Mutex::new(EnvState {
                     builder: TraceBuilder::new(),
+                    generation: 0,
                     shadow: ShadowPm::new(),
                     pools: Vec::new(),
                     observations: Vec::new(),
@@ -135,6 +191,7 @@ impl PmEnv {
                 next_tid: AtomicU32::new(0),
                 next_lock: AtomicU64::new(1),
                 observe: AtomicBool::new(false),
+                hooked: AtomicBool::new(false),
                 hook: Mutex::new(None),
                 sync_config: Mutex::new(SyncConfig::builtin_pthread()),
             }),
@@ -191,7 +248,14 @@ impl PmEnv {
     /// Installs a perturbation hook, called before every PM operation
     /// *outside* the recording lock (so injected delays overlap).
     pub fn set_hook(&self, hook: Option<Hook>) {
-        *self.inner.hook.lock() = hook;
+        let mut slot = self.inner.hook.lock();
+        self.inner.hooked.store(hook.is_some(), Ordering::Relaxed);
+        *slot = hook;
+    }
+
+    /// A handle that does not keep the environment alive.
+    pub(crate) fn downgrade(&self) -> WeakPmEnv {
+        WeakPmEnv(Arc::downgrade(&self.inner))
     }
 
     /// Enables or disables online observation of reads of unpersisted
@@ -255,6 +319,7 @@ impl PmEnv {
     /// joined; later activity would land in a fresh, discarded builder.
     pub fn finish(&self) -> Trace {
         let mut st = self.inner.state.lock();
+        st.generation += 1;
         std::mem::take(&mut st.builder).finish()
     }
 
@@ -293,6 +358,9 @@ impl PmEnv {
     }
 
     fn fire_hook(&self, tid: ThreadId, point: HookPoint) {
+        if !self.inner.hooked.load(Ordering::Relaxed) {
+            return;
+        }
         let hook = self.inner.hook.lock().clone();
         if let Some(h) = hook {
             h(tid, point);
@@ -300,10 +368,7 @@ impl PmEnv {
     }
 
     fn record(&self, t: &PmThread, loc: &'static Location<'static>, kind: EventKind) {
-        let frames = t.capture_stack(loc);
-        let mut st = self.inner.state.lock();
-        let stack = st.builder.intern_stack(frames);
-        st.builder.push(t.tid(), stack, kind);
+        self.inner.state.lock().record(t, loc, kind);
     }
 
     // ---- PM data operations (called via the pool handle) ----
@@ -321,21 +386,16 @@ impl PmEnv {
     ) {
         self.fire_hook(t.tid(), HookPoint::BeforeStore(addr));
         let range = AddrRange::new(addr, bytes.len() as u32);
-        let frames = t.capture_stack(loc);
+        let site = t.site_name();
         let mut st = self.inner.state.lock();
         let pool = &mut st.pools[index];
         let off = (addr - pool.base) as usize;
         pool.volatile[off..off + bytes.len()].copy_from_slice(bytes);
-        let site = frames
-            .first()
-            .map(|f| f.function.as_str())
-            .unwrap_or("<app>");
         st.shadow
             .store_with_site(t.tid(), range, bytes, non_temporal, site);
-        let stack = st.builder.intern_stack(frames);
-        st.builder.push(
-            t.tid(),
-            stack,
+        st.record(
+            t,
+            loc,
             EventKind::Store {
                 range,
                 non_temporal,
@@ -355,27 +415,14 @@ impl PmEnv {
     ) -> Vec<u8> {
         self.fire_hook(t.tid(), HookPoint::BeforeLoad(addr));
         let range = AddrRange::new(addr, len as u32);
-        let frames = t.capture_stack(loc);
         let mut st = self.inner.state.lock();
         if self.inner.observe.load(Ordering::Relaxed) {
-            if let Some((writer, store_fn)) = st.shadow.unpersisted_foreign_writer(t.tid(), &range)
-            {
-                let obs = Observation {
-                    load_tid: t.tid(),
-                    store_tid: writer,
-                    store_fn: store_fn.to_string(),
-                    range,
-                    load_stack: frames.clone(),
-                };
-                st.observations.push(obs);
-            }
+            st.observe_load(t, range, loc);
         }
         let pool = &mut st.pools[index];
         let off = (addr - pool.base) as usize;
         let bytes = pool.volatile[off..off + len].to_vec();
-        let stack = st.builder.intern_stack(frames);
-        st.builder
-            .push(t.tid(), stack, EventKind::Load { range, atomic });
+        st.record(t, loc, EventKind::Load { range, atomic });
         bytes
     }
 
@@ -392,29 +439,14 @@ impl PmEnv {
     ) -> Result<u64, u64> {
         self.fire_hook(t.tid(), HookPoint::BeforeStore(addr));
         let range = AddrRange::new(addr, 8);
-        let frames = t.capture_stack(loc);
         let mut st = self.inner.state.lock();
         if self.inner.observe.load(Ordering::Relaxed) {
-            if let Some((writer, store_fn)) = st.shadow.unpersisted_foreign_writer(t.tid(), &range)
-            {
-                let obs = Observation {
-                    load_tid: t.tid(),
-                    store_tid: writer,
-                    store_fn: store_fn.to_string(),
-                    range,
-                    load_stack: frames.clone(),
-                };
-                st.observations.push(obs);
-            }
+            st.observe_load(t, range, loc);
         }
         let pool = &mut st.pools[index];
         let off = (addr - pool.base) as usize;
         let current = u64::from_le_bytes(pool.volatile[off..off + 8].try_into().expect("8 bytes"));
-        let site = frames
-            .first()
-            .map(|f| f.function.clone())
-            .unwrap_or_else(|| "<app>".into());
-        let stack = st.builder.intern_stack(frames);
+        let stack = st.stack(t, loc);
         st.builder.push(
             t.tid(),
             stack,
@@ -428,7 +460,7 @@ impl PmEnv {
             let pool = &mut st.pools[index];
             pool.volatile[off..off + 8].copy_from_slice(&bytes);
             st.shadow
-                .store_with_site(t.tid(), range, &bytes, false, &site);
+                .store_with_site(t.tid(), range, &bytes, false, t.site_name());
             st.builder.push(
                 t.tid(),
                 stack,
@@ -452,7 +484,6 @@ impl PmEnv {
         loc: &'static Location<'static>,
     ) {
         self.fire_hook(t.tid(), HookPoint::BeforeFlush(addr));
-        let frames = t.capture_stack(loc);
         let mut st = self.inner.state.lock();
         let pool = &st.pools[index];
         let line = line_of(addr);
@@ -460,13 +491,11 @@ impl PmEnv {
         let mut line_bytes = [0u8; CACHE_LINE as usize];
         line_bytes.copy_from_slice(&pool.volatile[base_off..base_off + CACHE_LINE as usize]);
         st.shadow.flush(t.tid(), addr, &line_bytes);
-        let stack = st.builder.intern_stack(frames);
-        st.builder.push(t.tid(), stack, EventKind::Flush { addr });
+        st.record(t, loc, EventKind::Flush { addr });
     }
 
     pub(crate) fn fence_at(&self, t: &PmThread, loc: &'static Location<'static>) {
         self.fire_hook(t.tid(), HookPoint::BeforeFence);
-        let frames = t.capture_stack(loc);
         let mut st = self.inner.state.lock();
         let committed = st.shadow.fence(t.tid());
         for w in committed {
@@ -481,8 +510,7 @@ impl PmEnv {
             let off = (w.range.start - pool.base) as usize;
             pool.persistent[off..off + w.bytes.len()].copy_from_slice(&w.bytes);
         }
-        let stack = st.builder.intern_stack(frames);
-        st.builder.push(t.tid(), stack, EventKind::Fence);
+        st.record(t, loc, EventKind::Fence);
     }
 
     // ---- synchronization recording ----
@@ -495,7 +523,7 @@ impl PmEnv {
         loc: &'static Location<'static>,
     ) {
         self.fire_hook(t.tid(), HookPoint::BeforeAcquire(lock));
-        self.record_at(t, loc, EventKind::Acquire { lock, mode });
+        self.record(t, loc, EventKind::Acquire { lock, mode });
     }
 
     pub(crate) fn record_release(
@@ -505,11 +533,7 @@ impl PmEnv {
         loc: &'static Location<'static>,
     ) {
         self.fire_hook(t.tid(), HookPoint::BeforeRelease(lock));
-        self.record_at(t, loc, EventKind::Release { lock });
-    }
-
-    fn record_at(&self, t: &PmThread, loc: &'static Location<'static>, kind: EventKind) {
-        self.record(t, loc, kind);
+        self.record(t, loc, EventKind::Release { lock });
     }
 
     /// Routes a call to a *custom* synchronization primitive through the
@@ -527,8 +551,8 @@ impl PmEnv {
         let loc = Location::caller();
         let effect = self.inner.sync_config.lock().classify_call(function, ret);
         match effect {
-            CallEffect::Acquire(mode) => self.record_at(t, loc, EventKind::Acquire { lock, mode }),
-            CallEffect::Release => self.record_at(t, loc, EventKind::Release { lock }),
+            CallEffect::Acquire(mode) => self.record(t, loc, EventKind::Acquire { lock, mode }),
+            CallEffect::Release => self.record(t, loc, EventKind::Release { lock }),
             CallEffect::FailedAcquire | CallEffect::NotSync => {}
         }
         effect

@@ -77,15 +77,16 @@ impl ShadowPm {
     }
 
     /// Like [`ShadowPm::store`], attributing the write to a named site.
+    /// Passing an `Arc<str>` shares the name instead of copying it.
     pub fn store_with_site(
         &mut self,
         tid: ThreadId,
         range: AddrRange,
         bytes: &[u8],
         non_temporal: bool,
-        store_fn: &str,
+        store_fn: impl Into<std::sync::Arc<str>>,
     ) {
-        let store_fn: std::sync::Arc<str> = std::sync::Arc::from(store_fn);
+        let store_fn = store_fn.into();
         debug_assert_eq!(bytes.len(), range.len as usize);
         for line in range.lines() {
             let entries = self.lines.entry(line).or_default();
