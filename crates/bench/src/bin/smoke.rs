@@ -18,11 +18,12 @@
 //! memory-budget and kill/resume checks without shipping fixture files.
 //!
 //! `--bench-json DIR` measures the per-stage throughput trajectory
-//! (runtime / decode / memsim / irh / pairing / repair / campaign, see
-//! [`hawkset_bench::trajectory`]) and writes `BENCH_<stage>.json` files
-//! into `DIR`, then exits. The runtime stage records a 1-thread Fast-Fair
-//! run; the campaign stage's unit is rounds/sec on a fixed-seed steered
-//! PCLHT crash campaign.
+//! (runtime / decode / memsim / irh / pairing / repair / repair_app /
+//! campaign, see [`hawkset_bench::trajectory`]) and writes
+//! `BENCH_<stage>.json` files into `DIR`, then exits. The runtime stage
+//! records a 1-thread Fast-Fair run; the repair_app stage repairs the
+//! committed golden WIPE capture; the campaign stage's unit is
+//! rounds/sec on a fixed-seed steered PCLHT crash campaign.
 //!
 //! `--ratchet DIR` measures the same trajectory and fails (exit 1) if any
 //! stage regressed >20% against the committed `BENCH_<stage>.json`
@@ -133,6 +134,7 @@ fn main() -> ExitCode {
     if bench_json.is_some() || ratchet_dir.is_some() {
         let mut measurements = vec![trajectory::measure_runtime(trajectory::RUNTIME_OPS)];
         measurements.extend(trajectory::measure(&trace, &access));
+        measurements.push(trajectory::measure_repair_app());
         measurements.push(trajectory::measure_campaign(trajectory::CAMPAIGN_ROUNDS));
         for m in &measurements {
             println!(

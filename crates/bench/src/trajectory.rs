@@ -1,10 +1,11 @@
 //! Per-stage throughput trajectory: the pinned `BENCH_<stage>.json` files.
 //!
 //! Each file records the events/sec of one pipeline stage — `runtime`,
-//! `decode`, `memsim`, `irh`, `pairing`, `repair`, `campaign` — on the
-//! fixed-seed synthetic smoke trace (the runtime stage records a real
-//! Fast-Fair run and the campaign stage runs a fixed-seed steered crash
-//! campaign instead),
+//! `decode`, `memsim`, `irh`, `pairing`, `repair`, `repair_app`,
+//! `campaign` — on the fixed-seed synthetic smoke trace (the runtime
+//! stage records a real Fast-Fair run, the `repair_app` stage repairs the
+//! committed golden WIPE capture, and the campaign stage runs a
+//! fixed-seed steered crash campaign instead),
 //! together with the commit it was measured at. The committed copies at
 //! the repo root are the performance *baseline*; `scripts/ci.sh` re-runs
 //! the measurement and fails on a >20% regression against them (the
@@ -22,6 +23,7 @@
 //! | `irh`      | the same simulation with inline IRH publication tracking — the pipeline's production Simulate stage |
 //! | `pairing`  | single-threaded sharded pairing over the precomputed access set (`timing.pairing_ms` from the pipeline's own metrics) |
 //! | `repair`   | the `--suggest-fixes` second pass: re-simulation, per-race patch synthesis and every replay validation |
+//! | `repair_app` | the same second pass (`attach_fixes`, one analysis thread) over the committed real-application capture `tests/golden/app_wipe_fixes.hwkt` |
 //! | `campaign` | a fixed-seed steered PCLHT crash campaign end to end — plan derivation, two-pass rounds, audits, per-round analysis and corpus absorption; its `events` unit is *rounds*, not trace events |
 //!
 //! Every stage is best-of-3 (the campaign, the slowest, best-of-2) to
@@ -58,7 +60,7 @@ pub const PRE_CHANGE_PAIRING_EPS: f64 = 1_684_482.0;
 #[derive(Debug, Clone)]
 pub struct StageMeasurement {
     /// Stable stage name (`runtime` | `decode` | `memsim` | `irh` |
-    /// `pairing` | `repair` | `campaign`).
+    /// `pairing` | `repair` | `repair_app` | `campaign`).
     pub stage: &'static str,
     /// Events processed by the timed work.
     pub events: u64,
@@ -162,6 +164,35 @@ pub fn measure(trace: &Trace, access: &AccessSet) -> Vec<StageMeasurement> {
         events_per_sec: ev_f / repair_secs,
     });
     out
+}
+
+/// The input of the `repair_app` stage: the golden corpus's committed WIPE
+/// capture. Real application runs are not byte-reproducible, so the stage
+/// repairs these fixed bytes rather than a fresh recording.
+const REPAIR_APP_TRACE: &[u8] = include_bytes!("../../../tests/golden/app_wipe_fixes.hwkt");
+
+/// Measures the `repair_app` stage: `attach_fixes` with one analysis
+/// thread over the committed golden WIPE capture, best-of-3 — the repair
+/// pass on real application races, several of which share a store
+/// backtrace.
+pub fn measure_repair_app() -> StageMeasurement {
+    let trace = io::decode(REPAIR_APP_TRACE).expect("golden WIPE capture decodes");
+    let events = trace.events.len() as u64;
+    let plain = Analyzer::default().threads(1);
+    let repair = Analyzer::default().threads(1).suggest_fixes(true);
+    let mut secs = f64::INFINITY;
+    for _ in 0..3 {
+        let mut report = plain.run(&trace);
+        let t0 = Instant::now();
+        repair.attach_fixes(&trace, &mut report);
+        secs = secs.min(t0.elapsed().as_secs_f64().max(1e-9));
+    }
+    StageMeasurement {
+        stage: "repair_app",
+        events,
+        elapsed_ms: secs * 1e3,
+        events_per_sec: events as f64 / secs,
+    }
 }
 
 /// Main-phase operations of the pinned `runtime` stage.
@@ -355,13 +386,23 @@ mod tests {
         let (trace, access) = tiny_inputs();
         let mut ms = vec![measure_runtime(200)];
         ms.extend(measure(&trace, &access));
+        ms.push(measure_repair_app());
         // Two rounds keep the stage inside the steering warmup (baseline
         // plans, no injected delays), so the unit test stays fast while
         // still running the full campaign path.
         ms.push(measure_campaign(2));
         assert_eq!(
             ms.iter().map(|m| m.stage).collect::<Vec<_>>(),
-            ["runtime", "decode", "memsim", "irh", "pairing", "repair", "campaign"]
+            [
+                "runtime",
+                "decode",
+                "memsim",
+                "irh",
+                "pairing",
+                "repair",
+                "repair_app",
+                "campaign"
+            ]
         );
         for m in &ms {
             assert!(m.events_per_sec > 0.0, "{}: zero throughput", m.stage);

@@ -25,15 +25,18 @@
 //! the recording). That caveat is inherent to trace-level validation and
 //! is documented with the demotion rules in DESIGN.md §4k.
 
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
 use crate::addr::{line_base, line_of};
+use crate::fxhash::FxHashMap;
 use crate::memsim::patch::{simulate_patched, EventPatch, SyntheticEvent};
 use crate::memsim::{AccessSet, LoadAccess, SimConfig, StoreWindow};
 use crate::obs::MetricsRegistry;
-use crate::trace::{Event, EventKind, LockId, TraceView};
+use crate::trace::{Event, EventKind, LockId, StackId, TraceView};
 use crate::vclock::ClockOrder;
 
 use super::report::{AnalysisReport, Race, RaceKey};
@@ -48,7 +51,7 @@ pub const FIX_SCHEMA_VERSION: u64 = 1;
 /// Sequence numbers refer to the analyzed event stream (after lenient-mode
 /// quarantine and event-budget truncation) — the same numbering the
 /// simulator replayed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum FixKind {
     /// Insert a flush of `line` followed by a fence immediately after the
@@ -180,10 +183,31 @@ impl FixReport {
 /// Replay-validation of one proposed patch: replays the analyzed event
 /// stream with the patch applied as synthetic events and re-runs the
 /// pairing analysis under a determinism-preserving copy of `cfg`.
+///
+/// [`validates`](Self::validates) runs one replay per *distinct* lowered
+/// patch ([`ReplayKey`]) and memoizes the replay's race-key set: a replay
+/// is a pure function of (view, patch, replay config), and the view and
+/// config are fixed per validator, so a memo hit returns exactly what a
+/// fresh replay would. Debug builds re-run the replay on every hit and
+/// assert that it does.
 pub struct RepairValidator<'a> {
     view: &'a TraceView<'a>,
     cfg: AnalysisConfig,
     baseline: BTreeSet<RaceKey>,
+    /// Race keys of each distinct replay run so far (`None`: the patch was
+    /// inapplicable). Keys and race keys only — never whole patches.
+    memo: RefCell<FxHashMap<ReplayKey, Option<Vec<RaceKey>>>>,
+}
+
+/// What a lowered patch depends on — the memo key of a replay.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum ReplayKey {
+    /// A store-anchored [`FixKind::FlushFence`]: [`build_patch`] patches
+    /// every store with the anchor's backtrace and ignores
+    /// `after_seq`/`line`, so the backtrace alone determines the patch.
+    StoreStack(StackId),
+    /// Any other fix: the kind itself.
+    Kind(FixKind),
 }
 
 impl<'a> RepairValidator<'a> {
@@ -194,12 +218,13 @@ impl<'a> RepairValidator<'a> {
             view,
             cfg: replay_config(cfg),
             baseline: races.iter().map(|r| r.key).collect(),
+            memo: RefCell::default(),
         }
     }
 
     /// Replays the view with `kind` applied and returns the re-analysis
     /// report, or `None` when the patch is inapplicable (its anchor event
-    /// does not exist or has the wrong kind).
+    /// does not exist or has the wrong kind). Never memoized.
     pub fn replay(&self, kind: &FixKind) -> Option<AnalysisReport> {
         let patch = build_patch(self.view, kind)?;
         let access = simulate_patched(
@@ -221,16 +246,52 @@ impl<'a> RepairValidator<'a> {
         ))
     }
 
+    /// The race keys a fresh [`replay`](Self::replay) of `kind` reports.
+    fn replay_keys(&self, kind: &FixKind) -> Option<Vec<RaceKey>> {
+        self.replay(kind)
+            .map(|r| r.races.iter().map(|race| race.key).collect())
+    }
+
+    /// The memo key of `kind`'s lowered patch.
+    fn replay_key(&self, kind: &FixKind) -> ReplayKey {
+        match *kind {
+            FixKind::FlushFence { after_seq, .. } => match find_event(self.view, after_seq) {
+                Some(Event {
+                    kind: EventKind::Store { .. },
+                    stack,
+                    ..
+                }) => ReplayKey::StoreStack(stack),
+                _ => ReplayKey::Kind(*kind),
+            },
+            FixKind::LockExtension { .. } => ReplayKey::Kind(*kind),
+        }
+    }
+
     /// The full verdict: `true` iff the patched replay no longer reports
     /// `target` and reports no race key outside the baseline set.
     pub fn validates(&self, kind: &FixKind, target: RaceKey) -> bool {
-        match self.replay(kind) {
-            Some(patched) => patched
-                .races
-                .iter()
-                .all(|r| r.key != target && self.baseline.contains(&r.key)),
-            None => false,
-        }
+        let mut memo = self.memo.borrow_mut();
+        let keys = match memo.entry(self.replay_key(kind)) {
+            Entry::Occupied(hit) => {
+                debug_assert_eq!(
+                    *hit.get(),
+                    self.replay_keys(kind),
+                    "memoized replay of {kind:?} differs from a fresh one"
+                );
+                hit.into_mut()
+            }
+            Entry::Vacant(miss) => miss.insert(self.replay_keys(kind)),
+        };
+        keys.as_ref().is_some_and(|keys| {
+            keys.iter()
+                .all(|k| *k != target && self.baseline.contains(k))
+        })
+    }
+
+    /// Number of replays [`validates`](Self::validates) has actually run
+    /// (memo misses).
+    pub fn replays(&self) -> usize {
+        self.memo.borrow().len()
     }
 }
 
@@ -244,10 +305,27 @@ pub fn suggest(
     races: &[Race],
     cfg: &AnalysisConfig,
 ) -> Vec<FixSuggestion> {
+    let validator = RepairValidator::new(view, races, cfg);
+    suggest_with(view, access, races, cfg, |kind, target| {
+        validator.validates(kind, target)
+    })
+}
+
+/// The candidate search behind [`suggest`], with the replay verdict
+/// supplied by the caller: `validates(kind, target)` must answer exactly
+/// [`RepairValidator::validates`]. [`suggest`] passes the memoized
+/// validator; a caller can pass a fresh replay per attempt to check that
+/// the memo is transparent.
+pub fn suggest_with(
+    view: &TraceView<'_>,
+    access: &AccessSet,
+    races: &[Race],
+    cfg: &AnalysisConfig,
+    mut validates: impl FnMut(&FixKind, RaceKey) -> bool,
+) -> Vec<FixSuggestion> {
     if races.is_empty() || cfg.eadr {
         return Vec::new();
     }
-    let validator = RepairValidator::new(view, races, cfg);
     let mut out = Vec::new();
     for race in races {
         if race.store_store {
@@ -260,7 +338,7 @@ pub fn suggest(
             after_seq: win.store_seq,
             line: line_base(line_of(win.range.start)),
         };
-        if validator.validates(&flush, race.key) {
+        if validates(&flush, race.key) {
             out.push(FixSuggestion::new(race.key, flush, true));
             continue;
         }
@@ -278,7 +356,7 @@ pub fn suggest(
                 from_seq: acq_seq,
                 to_seq: win.store_seq,
             };
-            if validator.validates(&ext, race.key) {
+            if validates(&ext, race.key) {
                 out.push(FixSuggestion::new(race.key, ext, true));
                 fixed = true;
                 break;
@@ -380,11 +458,12 @@ fn hb_ordered(access: &AccessSet, win: &StoreWindow, ld: &LoadAccess) -> bool {
 /// after its store — the candidate acquisition a [`FixKind::LockExtension`]
 /// hoists.
 fn first_acquire_after(view: &TraceView<'_>, win: &StoreWindow, lock: LockId) -> Option<u64> {
-    view.events.iter().find_map(|ev| {
-        (ev.seq > win.store_seq
-            && ev.tid == win.tid
-            && matches!(ev.kind, EventKind::Acquire { lock: l, .. } if l == lock))
-        .then_some(ev.seq)
+    // Events are sorted by seq: start the scan just past the store.
+    let start = view.events.seqs().partition_point(|&s| s <= win.store_seq);
+    (start..view.events.len()).find_map(|i| {
+        let ev = view.events.get(i);
+        (ev.tid == win.tid && matches!(ev.kind, EventKind::Acquire { lock: l, .. } if l == lock))
+            .then_some(ev.seq)
     })
 }
 

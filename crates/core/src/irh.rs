@@ -18,9 +18,10 @@
 //! and reallocated PM stays published, which reproduces the tool's known
 //! limitation on memory-reusing applications such as memcached (§7).
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 use crate::addr::AddrRange;
+use crate::fxhash::FxHashMap;
 use crate::trace::ThreadId;
 
 /// Per-word publication state.
@@ -33,9 +34,12 @@ enum WordState {
 }
 
 /// Tracks which PM words have become visible to more than one thread.
+///
+/// The word map is probe-only (only its `len()` is ever observed), so it
+/// uses the fast deterministic hasher.
 #[derive(Debug, Default)]
 pub struct PublicationTracker {
-    words: HashMap<u64, WordState>,
+    words: FxHashMap<u64, WordState>,
 }
 
 impl PublicationTracker {
@@ -56,20 +60,35 @@ impl PublicationTracker {
     ///
     /// [`was_published_before`]: PublicationTracker::is_published
     pub fn record_access(&mut self, tid: ThreadId, range: &AddrRange) -> bool {
+        self.record(tid, range).0
+    }
+
+    /// [`record_access`](Self::record_access) and, in the same pass over
+    /// the words, [`all_private_to`](Self::all_private_to) evaluated
+    /// *after* the update: returns `(any_public, all_private)` with one
+    /// map entry per word instead of two lookups.
+    pub fn record(&mut self, tid: ThreadId, range: &AddrRange) -> (bool, bool) {
         let mut any_public = false;
+        let mut all_private = true;
         for w in range.words() {
-            match self.words.get(&w) {
-                None => {
-                    self.words.insert(w, WordState::Sole(tid));
+            match self.words.entry(w) {
+                Entry::Vacant(e) => {
+                    e.insert(WordState::Sole(tid));
                 }
-                Some(WordState::Sole(owner)) if *owner == tid => {}
-                Some(WordState::Sole(_)) => {
-                    self.words.insert(w, WordState::Published);
-                }
-                Some(WordState::Published) => any_public = true,
+                Entry::Occupied(mut e) => match *e.get() {
+                    WordState::Sole(owner) if owner == tid => {}
+                    WordState::Sole(_) => {
+                        e.insert(WordState::Published);
+                        all_private = false;
+                    }
+                    WordState::Published => {
+                        any_public = true;
+                        all_private = false;
+                    }
+                },
             }
         }
-        any_public
+        (any_public, all_private)
     }
 
     /// Returns `true` if every word of `range` is still private to `tid`.

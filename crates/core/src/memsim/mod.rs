@@ -744,15 +744,18 @@ impl SimCore {
         non_temporal: bool,
         atomic: bool,
     ) {
-        self.publication.record_access(tid, &range);
+        self.publication.record(tid, &range);
         // Close / shrink overlapping open pieces: the overwritten bytes'
         // visibility window ends here.
-        let closer_ls = self.threads[tid.index()].lockset.clone();
+        let closer_ls = &self.threads[tid.index()].lockset;
         let closer_vc = self.threads[tid.index()].vc_id;
         for line in range.lines() {
             let Some(pieces) = self.lines.get_mut(&line) else {
                 continue;
             };
+            if !pieces.iter().any(|p| p.range.overlaps(&range)) {
+                continue;
+            }
             let mut replacement = Vec::with_capacity(pieces.len());
             for piece in pieces.drain(..) {
                 if !piece.range.overlaps(&range) {
@@ -762,12 +765,11 @@ impl SimCore {
                 let hit = piece.range.intersection(&range).expect("overlap checked");
                 let (head, tail) = piece.range.subtract(&range);
                 // The overwritten part closes now.
+                let store_ls = self.locksets.get(piece.store_ls);
                 let effective = if piece.tid == tid {
-                    let store_ls = self.locksets.get(piece.store_ls).clone();
-                    store_ls.intersect_same_thread(&closer_ls)
+                    store_ls.intersect_same_thread(closer_ls)
                 } else {
-                    let store_ls = self.locksets.get(piece.store_ls).clone();
-                    store_ls.intersect_cross_thread(&closer_ls)
+                    store_ls.intersect_cross_thread(closer_ls)
                 };
                 let effective_ls = self.locksets.intern(effective);
                 let discarded = false; // overwritten stores are never IRH-discarded (§3.1.3)
@@ -855,8 +857,8 @@ impl SimCore {
     }
 
     fn on_load(&mut self, tid: ThreadId, seq: u64, stack: StackId, range: AddrRange, atomic: bool) {
-        self.publication.record_access(tid, &range);
-        let dropped = self.cfg.irh && self.publication.all_private_to(tid, &range);
+        let (_, all_private) = self.publication.record(tid, &range);
+        let dropped = self.cfg.irh && all_private;
         if dropped {
             self.stats.irh_dropped_loads += 1;
         }
@@ -894,7 +896,7 @@ impl SimCore {
         let Some(lines) = self.fence_watch.remove(&tid) else {
             return;
         };
-        let fencer_ls = self.threads[tid.index()].lockset.clone();
+        let fencer_ls = &self.threads[tid.index()].lockset;
         let fencer_vc = self.threads[tid.index()].vc_id;
         for line in lines {
             let Some(pieces) = self.lines.get_mut(&line) else {
@@ -906,12 +908,11 @@ impl SimCore {
                     kept.push(piece);
                     continue;
                 }
+                let store_ls = self.locksets.get(piece.store_ls);
                 let effective = if piece.tid == tid {
-                    let store_ls = self.locksets.get(piece.store_ls).clone();
-                    store_ls.intersect_same_thread(&fencer_ls)
+                    store_ls.intersect_same_thread(fencer_ls)
                 } else {
-                    let store_ls = self.locksets.get(piece.store_ls).clone();
-                    store_ls.intersect_cross_thread(&fencer_ls)
+                    store_ls.intersect_cross_thread(fencer_ls)
                 };
                 let effective_ls = self.locksets.intern(effective);
                 let discarded =

@@ -9,8 +9,8 @@
 //! in one pass and densely re-sequenced so the patched stream is
 //! indistinguishable from a trace recorded with the fix in place.
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
+use std::collections::{btree_map, BTreeMap, BTreeSet};
+use std::iter::Peekable;
 
 use crate::trace::{Event, EventKind, StackId, ThreadId, TraceView};
 
@@ -81,47 +81,74 @@ impl EventPatch {
         self.after.entry(seq).or_default().push(ev);
     }
 
-    /// Applies the edit script to `view`, returning the patched event
-    /// stream densely re-sequenced from 0.
-    pub fn apply(&self, view: &TraceView<'_>) -> Vec<Event> {
-        let mut out = Vec::with_capacity(view.events.len() + self.len());
-        let push = |out: &mut Vec<Event>, tid, stack, kind| {
-            let seq = out.len() as u64;
-            out.push(Event {
-                seq,
+    /// Walks the patched event stream of `view` in order, handing each
+    /// event to `f` densely re-sequenced from 0 — no intermediate vector.
+    ///
+    /// The sorted edit maps are merge-walked alongside the view's sequence
+    /// numbers, which ascend in every analyzed view, so each event costs a
+    /// few cursor comparisons instead of map lookups. Edits keyed to
+    /// sequence numbers the view does not contain (e.g. beyond a
+    /// [`TraceView::prefix`]) are skipped.
+    pub fn for_each(&self, view: &TraceView<'_>, mut f: impl FnMut(Event)) {
+        let mut removed = self.removed.iter().peekable();
+        let mut before = self.before.iter().peekable();
+        let mut after = self.after.iter().peekable();
+        let mut next_seq = 0u64;
+        let mut emit = |tid, stack, kind| {
+            f(Event {
+                seq: next_seq,
                 tid,
                 stack,
                 kind,
             });
+            next_seq += 1;
         };
         for ev in view.events.iter() {
-            if let Some(inserts) = self.before.get(&ev.seq) {
-                for s in inserts {
-                    push(&mut out, s.tid, s.stack, s.kind);
-                }
+            for s in inserts_at(&mut before, ev.seq) {
+                emit(s.tid, s.stack, s.kind);
             }
-            if !self.removed.contains(&ev.seq) {
-                push(&mut out, ev.tid, ev.stack, ev.kind);
+            while removed.next_if(|&&r| r < ev.seq).is_some() {}
+            if removed.peek() != Some(&&ev.seq) {
+                emit(ev.tid, ev.stack, ev.kind);
             }
-            if let Some(inserts) = self.after.get(&ev.seq) {
-                for s in inserts {
-                    push(&mut out, s.tid, s.stack, s.kind);
-                }
+            for s in inserts_at(&mut after, ev.seq) {
+                emit(s.tid, s.stack, s.kind);
             }
         }
+    }
+
+    /// Applies the edit script to `view`, returning the patched event
+    /// stream densely re-sequenced from 0 (the [`for_each`](Self::for_each)
+    /// walk, collected).
+    pub fn apply(&self, view: &TraceView<'_>) -> Vec<Event> {
+        let mut out = Vec::with_capacity(view.events.len() + self.len());
+        self.for_each(view, |ev| out.push(ev));
         out
     }
 }
 
+/// A merge-walk cursor over one insertion map.
+type InsertCursor<'p> = Peekable<btree_map::Iter<'p, u64, Vec<SyntheticEvent>>>;
+
+/// Advances `cursor` past keys below `seq` and returns the insertions keyed
+/// exactly at `seq` (empty if none), leaving them under the cursor so a
+/// repeated `seq` sees them again.
+fn inserts_at<'p>(cursor: &mut InsertCursor<'p>, seq: u64) -> &'p [SyntheticEvent] {
+    while cursor.next_if(|&(&k, _)| k < seq).is_some() {}
+    match cursor.peek() {
+        Some(&(&k, inserts)) if k == seq => inserts,
+        _ => &[],
+    }
+}
+
 /// Replays `view` with `patch` applied through the incremental simulator —
-/// the replay-with-patch mode backing repair validation. The result is an
-/// [`AccessSet`] computed exactly as a streamed analysis of the patched
-/// trace would compute it.
+/// the replay-with-patch mode backing repair validation. The patched events
+/// stream straight from [`EventPatch::for_each`] into the simulator; the
+/// result is an [`AccessSet`] computed exactly as a streamed analysis of
+/// the patched trace would compute it.
 pub fn simulate_patched(view: &TraceView<'_>, patch: &EventPatch, cfg: &SimConfig) -> AccessSet {
     let mut sim = StreamSimulator::new(view.thread_count, view.regions.to_vec(), cfg);
-    for ev in patch.apply(view) {
-        sim.step(&ev);
-    }
+    patch.for_each(view, |ev| sim.step(&ev));
     sim.finish()
 }
 
@@ -206,6 +233,77 @@ mod tests {
             patched.windows[0].close_vc.is_some(),
             "patched window must be persisted"
         );
+    }
+
+    /// The lookup-per-event application the merge walk replaced, kept as
+    /// the reference it must match.
+    fn apply_by_lookup(patch: &EventPatch, view: &TraceView<'_>) -> Vec<Event> {
+        let mut out = Vec::new();
+        let push = |out: &mut Vec<Event>, tid, stack, kind| {
+            let seq = out.len() as u64;
+            out.push(Event {
+                seq,
+                tid,
+                stack,
+                kind,
+            });
+        };
+        for ev in view.events.iter() {
+            for s in patch.before.get(&ev.seq).into_iter().flatten() {
+                push(&mut out, s.tid, s.stack, s.kind);
+            }
+            if !patch.removed.contains(&ev.seq) {
+                push(&mut out, ev.tid, ev.stack, ev.kind);
+            }
+            for s in patch.after.get(&ev.seq).into_iter().flatten() {
+                push(&mut out, s.tid, s.stack, s.kind);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn streamed_walk_matches_lookup_application() {
+        let trace = unpersisted_trace();
+        let last = trace.events.len() as u64 - 1;
+        let stack = trace.events.get(1).stack;
+        let synth = |kind| SyntheticEvent {
+            tid: T0,
+            stack,
+            kind,
+        };
+        let flush = EventKind::Flush { addr: 0x1000 };
+        let mut patch = EventPatch::new();
+        // First event: removed, with insertions on both sides.
+        patch.remove(0);
+        patch.insert_before(0, synth(EventKind::Fence));
+        patch.insert_after(0, synth(flush));
+        // One seq with a removal and several insertions before and after.
+        patch.remove(2);
+        patch.insert_before(2, synth(flush));
+        patch.insert_before(2, synth(EventKind::Fence));
+        patch.insert_after(2, synth(EventKind::Fence));
+        patch.insert_after(2, synth(flush));
+        // Last event: insertions only.
+        patch.insert_before(last, synth(flush));
+        patch.insert_after(last, synth(EventKind::Fence));
+        // Edits keyed beyond the trace end.
+        patch.remove(last + 5);
+        patch.insert_after(last + 7, synth(EventKind::Fence));
+
+        for len in 0..=trace.events.len() {
+            let view = TraceView::prefix(&trace, len);
+            let mut walked = Vec::new();
+            patch.for_each(&view, |ev| walked.push(ev));
+            assert_eq!(walked, apply_by_lookup(&patch, &view), "prefix {len}");
+            assert_eq!(patch.apply(&view), walked, "prefix {len}");
+        }
+        // The full view splices all eight in-trace insertions, drops both
+        // in-trace removals and ignores the out-of-range edits.
+        let full = patch.apply(&TraceView::full(&trace));
+        assert_eq!(full.len(), trace.events.len() - 2 + 8);
+        assert!(matches!(full[0].kind, EventKind::Fence));
+        assert!(matches!(full.last().unwrap().kind, EventKind::Fence));
     }
 
     #[test]

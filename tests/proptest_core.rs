@@ -1,7 +1,10 @@
 //! Property-based tests over the core analysis data structures.
 
+use std::collections::BTreeMap;
+
 use hawkset::core::addr::{AddrRange, CACHE_LINE};
 use hawkset::core::analysis::{AnalysisConfig, Analyzer};
+use hawkset::core::irh::PublicationTracker;
 use hawkset::core::lockset::{LockEntry, Lockset};
 use hawkset::core::memsim::{simulate, CloseReason, SimConfig};
 use hawkset::core::trace::io;
@@ -349,5 +352,51 @@ proptest! {
         let no_atomics =
             Analyzer::new(AnalysisConfig { include_atomics: false, ..Default::default() }).run(&trace);
         prop_assert!(no_atomics.races.len() <= all.races.len());
+    }
+}
+
+/// Random multi-thread access sequences over a small, overlapping word
+/// pool: (thread, unaligned start, length).
+fn arb_accesses() -> impl Strategy<Value = Vec<(u32, u64, u32)>> {
+    proptest::collection::vec((0u32..3, 0u64..96, 1u32..24), 1..64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The one-pass `PublicationTracker::record` equals `record_access`
+    /// followed by `all_private_to` on a second tracker, and both equal a
+    /// naive per-word transcription of the §3.1.3 publication rule.
+    #[test]
+    fn publication_record_matches_two_pass(accesses in arb_accesses()) {
+        let mut one_pass = PublicationTracker::new();
+        let mut two_pass = PublicationTracker::new();
+        // word -> Some(sole owner) | None (published)
+        let mut model: BTreeMap<u64, Option<ThreadId>> = BTreeMap::new();
+        for (tid, start, len) in accesses {
+            let (tid, range) = (ThreadId(tid), AddrRange::new(0x4000 + start, len));
+            let got = one_pass.record(tid, &range);
+            let any_public = two_pass.record_access(tid, &range);
+            let all_private = two_pass.all_private_to(tid, &range);
+            prop_assert_eq!(got, (any_public, all_private), "{:?} {:?}", tid, range);
+
+            let mut model_public = false;
+            for w in range.words() {
+                match model.get(&w).copied() {
+                    None => {
+                        model.insert(w, Some(tid));
+                    }
+                    Some(Some(owner)) if owner != tid => {
+                        model.insert(w, None);
+                    }
+                    Some(Some(_)) => {}
+                    Some(None) => model_public = true,
+                }
+            }
+            let model_private = range.words().all(|w| model.get(&w) == Some(&Some(tid)));
+            prop_assert_eq!(got, (model_public, model_private), "{:?} {:?}", tid, range);
+            prop_assert_eq!(one_pass.is_published(&range), two_pass.is_published(&range));
+            prop_assert_eq!(one_pass.tracked_words(), model.len());
+        }
     }
 }

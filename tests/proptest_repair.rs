@@ -12,9 +12,14 @@
 //!    trace, flush+fence before any store dirtied the line, lock
 //!    extensions whose `from_seq` names no boundary of that lock) must
 //!    never validate.
+//!
+//! A third property pins the replay memo: memoized `suggest` equals the
+//! same search with a fresh replay behind every attempt.
 
 use hawkset::core::addr::AddrRange;
+use hawkset::core::analysis::repair::suggest_with;
 use hawkset::core::analysis::{AnalysisConfig, Analyzer, FixKind, FixStatus, RepairValidator};
+use hawkset::core::memsim::{simulate_view, SimConfig};
 use hawkset::core::trace::{
     EventKind, Frame, LockId, LockMode, ThreadId, Trace, TraceBuilder, TraceView,
 };
@@ -25,83 +30,133 @@ use proptest::prelude::*;
 /// and only occasional flushes so store→persist windows stay open across
 /// conflicting accesses.
 fn arb_racy_trace() -> impl Strategy<Value = Trace> {
-    let ops = proptest::collection::vec(
+    (arb_ops(), 2u32..4).prop_map(|(ops, workers)| racy_trace(ops, workers, false))
+}
+
+/// Racy traces in which several races share one store backtrace, so the
+/// replay memo is hit: every store carries one of two stacks and every
+/// load one of three others, and a fixed opening (one never-persisted
+/// store read under two load stacks) guarantees two races on one store
+/// stack.
+fn arb_shared_store_trace() -> impl Strategy<Value = Trace> {
+    (arb_ops(), 2u32..4).prop_map(|(ops, workers)| racy_trace(ops, workers, true))
+}
+
+/// One random operation: (kind, word, length, lock, shared-mode flag).
+type Op = (u8, u64, u32, u64, bool);
+
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec(
         (0u8..8, 0u64..24u64, 1u32..17, 0u64..3, any::<bool>()),
         4..90,
-    );
-    (ops, 2u32..4).prop_map(|(ops, workers)| {
-        let mut b = TraceBuilder::new();
-        let stacks: Vec<_> = (0u32..4)
-            .map(|i| b.intern_stack([Frame::new(format!("fn{i}"), "prop.rs", i + 1)]))
-            .collect();
-        for w in 1..=workers {
+    )
+}
+
+/// Builds a valid trace from `ops`, dealt round-robin to `workers`
+/// threads. With `shared_store_stacks`, stores and loads draw from
+/// disjoint stack pools (two store stacks, three load stacks) after the
+/// fixed opening described at [`arb_shared_store_trace`].
+fn racy_trace(ops: Vec<Op>, workers: u32, shared_store_stacks: bool) -> Trace {
+    let mut b = TraceBuilder::new();
+    let stack_count = if shared_store_stacks { 5 } else { 4 };
+    let stacks: Vec<_> = (0u32..stack_count)
+        .map(|i| b.intern_stack([Frame::new(format!("fn{i}"), "prop.rs", i + 1)]))
+        .collect();
+    for w in 1..=workers {
+        b.push(
+            ThreadId(0),
+            stacks[0],
+            EventKind::ThreadCreate { child: ThreadId(w) },
+        );
+    }
+    if shared_store_stacks {
+        // A line the random operations never touch, so nothing persists
+        // or overwrites the opening store.
+        let x = AddrRange::new(0x2000, 8);
+        b.push(
+            ThreadId(1),
+            stacks[0],
+            EventKind::Store {
+                range: x,
+                non_temporal: false,
+                atomic: false,
+            },
+        );
+        for s in [stacks[2], stacks[3]] {
             b.push(
-                ThreadId(0),
-                stacks[0],
-                EventKind::ThreadCreate { child: ThreadId(w) },
+                ThreadId(2),
+                s,
+                EventKind::Load {
+                    range: x,
+                    atomic: false,
+                },
             );
         }
-        let mut held: Vec<Vec<u64>> = vec![Vec::new(); workers as usize + 1];
-        for (i, (kind, addr, len, lock, flag)) in ops.into_iter().enumerate() {
-            let tid = ThreadId(1 + (i as u32 % workers));
-            let s = stacks[i % stacks.len()];
-            let range = AddrRange::new(0x1000 + addr * 8, len);
-            match kind {
-                // Stores twice as likely as anything else: windows are
-                // the race ingredient.
-                0 | 1 => b.push(
-                    tid,
-                    s,
-                    EventKind::Store {
-                        range,
-                        non_temporal: false,
-                        atomic: false,
-                    },
-                ),
-                2 | 3 => b.push(
-                    tid,
-                    s,
-                    EventKind::Load {
-                        range,
-                        atomic: false,
-                    },
-                ),
-                4 => b.push(tid, s, EventKind::Flush { addr: range.start }),
-                5 => b.push(tid, s, EventKind::Fence),
-                6 => {
-                    if !held[tid.index()].contains(&lock) {
-                        held[tid.index()].push(lock);
-                        b.push(
-                            tid,
-                            s,
-                            EventKind::Acquire {
-                                lock: LockId(lock),
-                                mode: if flag {
-                                    LockMode::Shared
-                                } else {
-                                    LockMode::Exclusive
-                                },
+    }
+    let mut held: Vec<Vec<u64>> = vec![Vec::new(); workers as usize + 1];
+    for (i, (kind, addr, len, lock, flag)) in ops.into_iter().enumerate() {
+        let tid = ThreadId(1 + (i as u32 % workers));
+        let s = match (shared_store_stacks, kind) {
+            (true, 0 | 1) => stacks[i % 2],
+            (true, 2 | 3) => stacks[2 + i % 3],
+            _ => stacks[i % 4],
+        };
+        let range = AddrRange::new(0x1000 + addr * 8, len);
+        match kind {
+            // Stores twice as likely as anything else: windows are
+            // the race ingredient.
+            0 | 1 => b.push(
+                tid,
+                s,
+                EventKind::Store {
+                    range,
+                    non_temporal: false,
+                    atomic: false,
+                },
+            ),
+            2 | 3 => b.push(
+                tid,
+                s,
+                EventKind::Load {
+                    range,
+                    atomic: false,
+                },
+            ),
+            4 => b.push(tid, s, EventKind::Flush { addr: range.start }),
+            5 => b.push(tid, s, EventKind::Fence),
+            6 => {
+                if !held[tid.index()].contains(&lock) {
+                    held[tid.index()].push(lock);
+                    b.push(
+                        tid,
+                        s,
+                        EventKind::Acquire {
+                            lock: LockId(lock),
+                            mode: if flag {
+                                LockMode::Shared
+                            } else {
+                                LockMode::Exclusive
                             },
-                        );
-                    }
+                        },
+                    );
                 }
-                _ => {
-                    if let Some(pos) = held[tid.index()].iter().position(|&l| l == lock) {
-                        held[tid.index()].remove(pos);
-                        b.push(tid, s, EventKind::Release { lock: LockId(lock) });
-                    }
+            }
+            _ => {
+                if let Some(pos) = held[tid.index()].iter().position(|&l| l == lock) {
+                    held[tid.index()].remove(pos);
+                    b.push(tid, s, EventKind::Release { lock: LockId(lock) });
                 }
             }
         }
-        for w in 1..=workers {
-            b.push(
-                ThreadId(0),
-                stacks[0],
-                EventKind::ThreadJoin { child: ThreadId(w) },
-            );
-        }
-        b.finish()
-    })
+    }
+    for w in 1..=workers {
+        b.push(
+            ThreadId(0),
+            stacks[0],
+            EventKind::ThreadJoin { child: ThreadId(w) },
+        );
+    }
+    b.finish()
 }
 
 proptest! {
@@ -210,5 +265,50 @@ proptest! {
                 "lock extension from a non-boundary event {from_seq} validated"
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Memoized `suggest` (the `--suggest-fixes` path) equals the same
+    /// candidate search with a brand-new validator, and so a fresh
+    /// unmemoized replay, behind every attempt; and the memo is actually
+    /// hit (fewer replays than attempts) on these shared-store-stack
+    /// traces.
+    #[test]
+    fn memoized_suggest_matches_fresh_replays(trace in arb_shared_store_trace()) {
+        let cfg = AnalysisConfig::default();
+        let report = Analyzer::new(cfg.clone()).suggest_fixes(true).run(&trace);
+        let memoized = report.fixes.as_ref().map_or(Vec::new(), |f| f.suggestions.clone());
+        let baseline: Vec<_> = report.races.iter().map(|r| r.key).collect();
+        let view = TraceView::full(&trace);
+        let access = simulate_view(view, &SimConfig::default());
+
+        let mut attempts = 0usize;
+        let naive = suggest_with(&view, &access, &report.races, &cfg, |kind, target| {
+            attempts += 1;
+            RepairValidator::new(&view, &report.races, &cfg)
+                .replay(kind)
+                .is_some_and(|patched| {
+                    patched
+                        .races
+                        .iter()
+                        .all(|r| r.key != target && baseline.contains(&r.key))
+                })
+        });
+        prop_assert_eq!(&memoized, &naive);
+
+        let validator = RepairValidator::new(&view, &report.races, &cfg);
+        let again = suggest_with(&view, &access, &report.races, &cfg, |kind, target| {
+            validator.validates(kind, target)
+        });
+        prop_assert_eq!(&again, &memoized);
+        prop_assert!(
+            validator.replays() < attempts,
+            "{} replays for {} attempts: the memo was never hit",
+            validator.replays(),
+            attempts
+        );
     }
 }
